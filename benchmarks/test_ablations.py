@@ -88,8 +88,7 @@ def run_isa_intermittent(use_checkpoints: bool, budget_s: float = 4.0):
         if use_checkpoints and manager.restore() is not None:
             pass  # resumed mid-loop from the snapshot
         try:
-            while True:
-                device.cpu.step()
+            device.run()
         except Halted:
             completed = True
             break

@@ -61,8 +61,7 @@ def run(use_checkpoints: bool, budget_s: float = 3.0):
         if use_checkpoints:
             manager.restore()
         try:
-            while True:
-                target.cpu.step()
+            target.run()
         except Halted:
             completed = True
         except PowerFailure:

@@ -22,7 +22,7 @@ protected build derives both counters idempotently from a commit word
 written *after* both stores, so re-execution can never drift ``a``
 more than one ahead of ``b``.
 
-Execution goes through :meth:`Cpu.step_block`, so translated-block
+Execution goes through :meth:`TargetDevice.run`, so translated-block
 coverage (and its single-step fallback) drives the fuzzer's signatures.
 """
 
@@ -195,10 +195,8 @@ class RfidIsaFirmware:
 
     def main(self, api: DeviceAPI) -> None:
         """One powered boot: block-dispatch until HALT or brown-out."""
-        step_block = api.device.cpu.step_block
         try:
-            while True:
-                step_block()
+            api.device.run()
         except Halted:
             raise ProgramComplete(
                 api.device.memory.read_u16(self.symbols["prog"])

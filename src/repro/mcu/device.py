@@ -24,7 +24,7 @@ from repro.io.lines import DigitalLine
 from repro.io.uart import Uart
 from repro.mcu.adc import Adc, AdcChannelMux
 from repro.mcu.assembler import Program
-from repro.mcu.cpu import Cpu, Halted
+from repro.mcu.cpu import Cpu
 from repro.mcu.gpio import GpioPort
 from repro.mcu.memory import MemoryMap, make_msp430_memory_map
 from repro.power.supply import PowerSystem
@@ -726,24 +726,27 @@ class TargetDevice:
         """The currently loaded ISA program image, if any."""
         return self._program
 
-    def run_isa(self, max_instructions: int = 1_000_000) -> str:
-        """Run the loaded ISA program until HALT, power failure, or limit.
+    def run(self, budget: int | None = None) -> int:
+        """Dispatch the loaded ISA program: the one instruction loop.
 
-        Returns ``"halted"``, or raises :class:`PowerFailure` — callers
-        that want intermittent semantics use the executor in
-        :mod:`repro.runtime.executor`, which catches the failure,
-        charges, reboots, and retries.
+        Every ISA caller runs through here, so all of them get block
+        (and trace) dispatch with its deoptimization to single steps.
+        With ``budget=None`` it runs until the CPU raises; with a budget
+        it returns after retiring exactly ``budget`` instructions,
+        deoptimizing any block that would overrun it.  ``Halted``,
+        :class:`PowerFailure`, :class:`ExecutionLimit` (the
+        :attr:`stop_after` deadline), ``MemoryFault``, ``CpuError`` and
+        ``DecodeError`` propagate from :meth:`Cpu.step_block` on the
+        instruction boundary single-stepping would reach.
         """
-        if self._program is None:
-            raise RuntimeError("no program loaded")
-        budget = max_instructions
         step_block = self.cpu.step_block
-        while budget > 0:
-            try:
-                budget -= step_block(budget)
-            except Halted:
-                return "halted"
-        raise RuntimeError(f"exceeded {max_instructions} instructions")
+        if budget is None:
+            while True:
+                step_block()
+        retired = 0
+        while retired < budget:
+            retired += step_block(budget - retired)
+        return retired
 
     # -- self-measurement ------------------------------------------------------------
     def measure_own_vcap(self) -> float:

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check", action="store_true",
         help=f"exit non-zero if any metric regresses more than "
-             f"{REGRESSION_TOLERANCE:.0%} against the baseline",
+             f"{REGRESSION_TOLERANCE:.0%}% against the baseline",
     )
     parser.add_argument(
         "--write-baseline", action="store_true",

@@ -111,24 +111,20 @@ def _tier_detail(target) -> dict:
 def bench_isa_throughput(instructions: int = 60_000) -> BenchResult:
     """Instruction retirement rate on a bench supply (no brown-outs).
 
-    Dispatches through :meth:`Cpu.step_block` — the production path used
-    by ``run_isa`` and the intermittent ISA executor — so the number
-    reflects block-translation steady state (the ``blocks`` detail trio
-    records the translation/deopt mix; ``REPRO_NO_BLOCKCACHE=1`` turns
-    the same benchmark into a pure single-step measurement).
+    Dispatches through :meth:`TargetDevice.run` — the one instruction
+    loop every ISA caller shares — so the number reflects
+    block-translation steady state (the ``blocks`` detail trio records
+    the translation/deopt mix; ``REPRO_NO_BLOCKCACHE=1`` turns the same
+    benchmark into a pure single-step measurement).
     """
     sim = Simulator(seed=7)
     target = make_bench_target(sim)
     program = assemble(ISA_LOOP_SOURCE)
     target.load_program(program)
-    step_block = target.cpu.step_block
-    # Warm-up: one loop body, outside the timed window.
-    for _ in range(16):
-        step_block()
+    # Warm-up: sixteen loop bodies, outside the timed window.
+    target.run(128)
     t0 = time.perf_counter()
-    retired = 0
-    while retired < instructions:
-        retired += step_block()
+    retired = target.run(instructions)
     wall = time.perf_counter() - t0
     return BenchResult(
         name="isa_throughput",
@@ -216,14 +212,10 @@ def bench_superblock_hot_loop(instructions: int = 60_000) -> BenchResult:
         target.cpu.trace_tier_enabled = (
             target.cpu.trace_tier_enabled and trace_tier
         )
-        step_block = target.cpu.step_block
         # Warm-up: heat the profile past the trace-formation threshold.
-        for _ in range(64):
-            step_block()
+        target.run(192)
         t0 = time.perf_counter()
-        retired = 0
-        while retired < instructions:
-            retired += step_block()
+        retired = target.run(instructions)
         return time.perf_counter() - t0, retired, target
 
     best_off = best_on = float("inf")

@@ -109,13 +109,7 @@ class IsaIntermittentExecutor:
                 if self.checkpoints is not None:
                     self.checkpoints.restore()
                 try:
-                    # Block-granular dispatch: translated straight-line
-                    # runs execute as single closures, deoptimizing to
-                    # Cpu.step near brown-out / pending events, so the
-                    # trajectory stays bit-identical to single-stepping.
-                    step_block = self.device.cpu.step_block
-                    while True:
-                        step_block()
+                    self.device.run()
                 except Halted:
                     status = RunStatus.COMPLETED
                     break

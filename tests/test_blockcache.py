@@ -27,10 +27,19 @@ import random
 
 import pytest
 
-from repro import RunStatus, Simulator, TargetDevice, make_wisp_power_system
+from repro import (
+    PowerFailure,
+    RunStatus,
+    Simulator,
+    TargetDevice,
+    make_wisp_power_system,
+)
 from repro.campaign.faults import ScheduledBrownouts
 from repro.mcu.assembler import assemble
+from repro.mcu.cpu import Halted
+from repro.mcu.memory import FRAM_BASE
 from repro.power.capacitor import StorageCapacitor, closed_form_step
+from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.isa_executor import IsaIntermittentExecutor
 from repro.testing import make_bench_target
 
@@ -594,3 +603,108 @@ def test_closed_form_advance_matches_reference():
     )
     assert cap.closed_form_advance(dt, voc, rs, net) == expected
     assert cap.voltage == expected
+
+
+# -- TargetDevice.run against a reference Cpu.step loop --------------------
+
+#: The checkpointing ablation's workload: a long register-resident sum
+#: that requests a checkpoint on port 0x10 every iteration.
+CHECKPOINTED_SUM_SOURCE = """
+        .org 0xA000
+total:  .word 0
+count:  .word 0
+start:  mov #0, r4
+        mov #0, r5
+loop:   add #1, r4
+        add r4, r5
+        out r4, #0x10
+        cmp #30000, r4
+        jnz loop
+        mov r4, &count
+        mov r5, &total
+        halt
+"""
+
+
+def _checkpointed_wisp(seed=13):
+    """A WISP at 1.6 m running the checkpointed sum (every 64th request)."""
+    sim = Simulator(seed=seed)
+    device = TargetDevice(sim, make_wisp_power_system(sim, distance_m=1.6))
+    device.load_program(assemble(CHECKPOINTED_SUM_SOURCE))
+    manager = CheckpointManager(device, FRAM_BASE + 0x8000)
+    manager.erase()
+    requests = [0]
+
+    def on_port(value):
+        requests[0] += 1
+        if requests[0] % 64 == 0:
+            manager.checkpoint()
+
+    device.cpu.ports_out[0x10] = on_port
+    return sim, device, manager
+
+
+def _run_state(sim, device, manager):
+    return {
+        "now": float.hex(sim.now),
+        "vcap": float.hex(device.power.vcap),
+        "energy": float.hex(device.energy_consumed),
+        "registers": tuple(device.cpu.registers),
+        "retired": device.cpu.instructions_retired,
+        "reboots": device.reboot_count,
+        "checkpoints": manager.checkpoints_taken,
+        "fram": bytes(device.memory.region("fram")._data),
+    }
+
+
+def _step_forever(device):
+    while True:
+        device.cpu.step()
+
+
+def test_device_run_matches_single_step_across_boots():
+    """Checkpointed boots to completion: ``run()`` equals ``Cpu.step``."""
+    def boots(drive):
+        sim, device, manager = _checkpointed_wisp()
+        outcomes = []
+        while not outcomes or outcomes[-1] != "Halted":
+            device.power.charge_until_on()
+            device.reboot()
+            manager.restore()
+            with pytest.raises((Halted, PowerFailure)) as exc:
+                drive(device)
+            outcomes.append(exc.type.__name__)
+        return _run_state(sim, device, manager), outcomes, device
+
+    ran, outcomes, run_device = boots(TargetDevice.run)
+    stepped, step_outcomes, _ = boots(_step_forever)
+    assert ran == stepped
+    assert outcomes == step_outcomes
+    assert outcomes == ["PowerFailure", "Halted"]
+    assert ran["checkpoints"] > 0
+    if _BLOCKS_ENGAGE:
+        assert run_device.cpu.blocks_executed > 0
+
+
+@pytest.mark.parametrize("budgets", [(1,), (3, 5), (1000, 12345, 7)])
+def test_device_run_budget_retires_exactly(budgets):
+    """``run(budget=N)`` retires exactly N instructions — mid-block
+    endings included — and leaves the state of N single steps."""
+    states = []
+    for use_run in (True, False):
+        sim, device, manager = _checkpointed_wisp()
+        device.power.charge_until_on()
+        device.reboot()
+        for n in budgets:
+            before = device.cpu.instructions_retired
+            if use_run:
+                assert device.run(n) == n
+            else:
+                for _ in range(n):
+                    device.cpu.step()
+            assert device.cpu.instructions_retired - before == n
+        states.append(_run_state(sim, device, manager))
+        if use_run and _BLOCKS_ENGAGE and sum(budgets) > 100:
+            assert device.cpu.blocks_executed > 0
+            assert device.cpu.blocks_deopts > 0
+    assert states[0] == states[1]

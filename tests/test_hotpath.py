@@ -272,3 +272,14 @@ def test_perf_harness_smoke():
         assert payload["value"] > 0
         assert payload["wall_s"] > 0
         json.dumps(payload)  # JSON-serialisable
+
+
+def test_perf_cli_help_renders_tolerance(capsys):
+    """``--help`` shows the tolerance as a percentage, not a dumped action."""
+    from repro.perf.__main__ import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "30% against the baseline" in text
+    assert "option_strings" not in text
