@@ -1,11 +1,11 @@
 """Lane-batched campaign execution: step N similar legs as one batch.
 
 The third rung of the campaign speed ladder (after snapshot/fork prefix
-sharing and the superblock/fast-forward dispatch tiers): campaign legs
+sharing and block dispatch): campaign legs
 that differ only in *when* their fault lands re-execute nearly identical
 trajectories, so the lane engine packs a whole fork-eligible group into
 NumPy struct-of-arrays lanes, drives one shared *leader* trajectory
-through the existing three-tier dispatch on behalf of every lane, and
+through the existing block dispatch on behalf of every lane, and
 *peels* a lane into the scalar path at the exact boot boundary where its
 injection schedule first diverges from the shared trajectory
 (:mod:`repro.batch.engine`).  :mod:`repro.batch.lanes` holds the
@@ -44,8 +44,8 @@ def batching_disabled() -> bool:
     """True when the ``REPRO_NO_BATCH`` kill switch is set.
 
     Read per call (not cached) so tests and operators can flip the
-    switch at runtime, mirroring ``REPRO_NO_BLOCKCACHE`` /
-    ``REPRO_NO_SUPERBLOCK`` on the dispatch tiers.
+    switch at runtime, mirroring ``REPRO_NO_BLOCKCACHE`` on block
+    dispatch.
     """
     return os.environ.get("REPRO_NO_BATCH", "") not in ("", "0")
 

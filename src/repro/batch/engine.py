@@ -6,9 +6,9 @@ schedules alone: same app, same environment, zero fading, no corruption.
 Until a leg's schedule actually fires, its trajectory is *identical* to
 the fault-free one — so instead of stepping N interpreter loops, the
 engine packs the group into lanes and drives one shared **leader**
-device fault-free through the existing three-tier dispatch.  One decoded
-block, one superblock trace, one closed-form energy evaluation per spend
-serves every lane still in the batch.
+device fault-free through the existing block dispatch.  One decoded
+block, one closed-form energy evaluation per spend serves every lane
+still in the batch.
 
 At every boot boundary (an organic brown-out parks the leader via a
 ``PowerSystem.on_power_change`` hook) the engine compares the boundary's

@@ -294,24 +294,18 @@ class DebugSession:
             "reboots": self.device.reboot_count,
             "cycles": self.device.cycles_executed,
             "breakpoints": len(self.handles),
-            # Which execution tier served the session's work so far:
-            # block translation, superblock traces, and the closed-form
-            # energy fast-forward (spans opened / spends committed).
+            # Which execution tier served the session's work so far.
+            # ``traces`` and ``fast_forward`` name a dispatch tier that
+            # no longer exists; they stay as zeros because this result
+            # is a published wire format.
             "tier": {
                 "blocks": {
                     "translated": cpu.blocks_translated,
                     "executed": cpu.blocks_executed,
                     "deopts": cpu.blocks_deopts,
                 },
-                "traces": {
-                    "formed": cpu.traces_formed,
-                    "executed": cpu.traces_executed,
-                    "exits": cpu.trace_exits,
-                },
-                "fast_forward": {
-                    "spans": self.device.ff_spans,
-                    "spends": self.device.ff_spends,
-                },
+                "traces": {"formed": 0, "executed": 0, "exits": 0},
+                "fast_forward": {"spans": 0, "spends": 0},
             },
         }
 

@@ -128,11 +128,6 @@ def _host_stanza() -> dict:
         "git_revision": _git_revision(),
         "numpy": _numpy_version(),
         "block_cache": os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0"),
-        "superblock": (
-            os.environ.get("REPRO_NO_BLOCKCACHE", "") in ("", "0")
-            and os.environ.get("REPRO_NO_SUPERBLOCK", "") in ("", "0")
-        ),
-        "force_deopt": os.environ.get("REPRO_FORCE_DEOPT", "") not in ("", "0"),
         "batch": batching_enabled(),
     }
 

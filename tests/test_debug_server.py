@@ -78,6 +78,18 @@ class TestSessionManagement:
         with pytest.raises(errors.InvalidParams):
             rpc(service, "session.create", app="fibonacci", power="nuclear")
 
+    def test_status_tier_shape_is_wire_stable(self, service):
+        """``tier`` keeps its published keys; the retired ones read zero."""
+        sid = rpc(service, "session.create", app="rfid_firmware", seed=1)[
+            "session"
+        ]
+        rpc(service, "energy.charge", session=sid, volts=2.4)
+        rpc(service, "run", session=sid, duration=0.2)
+        tier = rpc(service, "session.status", session=sid)["tier"]
+        assert tier["blocks"]["executed"] > 0
+        assert tier["traces"] == {"formed": 0, "executed": 0, "exits": 0}
+        assert tier["fast_forward"] == {"spans": 0, "spends": 0}
+
     def test_session_limit(self):
         svc = DebugService(max_sessions=1)
         rpc(svc, "session.create", app="fibonacci", seed=1)
