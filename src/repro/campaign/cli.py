@@ -114,16 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fail-fast", action="store_true",
                         help="stop scheduling new runs after the first "
                              "diverged or errored record (partial report)")
-    snapshot = parser.add_mutually_exclusive_group()
-    snapshot.add_argument("--snapshot", dest="snapshot", action="store_true",
-                          default=True,
-                          help="share campaign prefixes via device snapshots "
-                               "(default; reports are byte-identical either "
-                               "way)")
-    snapshot.add_argument("--no-snapshot", dest="snapshot",
-                          action="store_false",
-                          help="simulate every run from reset (the legacy "
-                               "execution path)")
     batch = parser.add_mutually_exclusive_group()
     batch.add_argument("--batch", dest="batch", action="store_true",
                        default=True,
@@ -273,7 +263,6 @@ def main(argv: list[str] | None = None) -> int:
             journal_path=args.journal,
             resume_from=args.resume,
             fail_fast=args.fail_fast,
-            snapshot=args.snapshot,
             batch=args.batch,
             corpus_path=args.corpus,
             journal_fsync=args.fsync_journal,

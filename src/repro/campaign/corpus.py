@@ -10,7 +10,7 @@ that replayed known behaviour is wasted budget.
 
 Determinism contract: :meth:`Corpus.consider` is called once per record
 in run-index order, so for a fixed campaign seed the corpus evolves
-identically across repetitions, worker counts, snapshot modes, and
+identically across repetitions, worker counts, execution paths, and
 journal resumes — which is what keeps fuzz reports byte-identical.
 
 The on-disk form (``--corpus PATH``) is a small JSON document whose

@@ -1,9 +1,9 @@
 """Snapshot/fork execution: share campaign prefixes instead of re-simulating.
 
-Three snapshot-powered execution paths, all strictly optional (the
-``--no-snapshot`` flag routes everything through the original
-from-reset code) and all bound by the campaign engine's byte-identical
-report contract:
+The campaign engine's only executor.  Three snapshot-powered paths,
+each bound by the byte-identical report contract and each falling back
+to the from-reset legs of :mod:`repro.campaign.runner` whenever sharing
+is unsound or fails:
 
 - **Memoized control leg** (:func:`continuous_observation`).  The
   continuous-power leg runs tethered from flash to finish, so it never
@@ -36,7 +36,10 @@ run would produce.  Sessions that could be perturbed by their borrowed
 seed are ruled out up front (adapters with a ``prepare`` hook, plans
 with fading or corruption) and double-checked after the fact
 (``RngHub.untouched``); any violation or mid-session failure falls back
-to the legacy from-reset path for the affected runs.
+to the from-reset path for the affected runs.  Forcing every fallback
+(a session that cannot be built, a memo that never stores, no lanes)
+reproduces a campaign simulated entirely from reset, byte for byte —
+the reference the test suite compares the forked reports against.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ from repro.campaign.faults import (
     plan_faults,
 )
 from repro.campaign.oracle import Observation, compare
+from repro.campaign.runner import (
+    _harvest_tier_stats,
+    _observation,
+    execute_run_safe,
+    run_continuous_leg,
+)
 from repro.campaign.watchdog import RunWatchdog
 from repro.power.harvester import RFHarvester
 from repro.runtime.executor import IntermittentExecutor, RunStatus
@@ -117,11 +126,6 @@ def continuous_observation(
     Adapters with a ``prepare`` hook specialise per run and are never
     memoized.
     """
-    from repro.campaign.runner import (  # deferred: no cycle
-        _harvest_tier_stats,
-        run_continuous_leg,
-    )
-
     if hasattr(adapter, "prepare"):
         return run_continuous_leg(config, adapter, leg_seed)
     key = _continuous_key(config)
@@ -137,14 +141,7 @@ def continuous_observation(
     with RunWatchdog(target, config.max_cycles, config.max_wall_s):
         result = executor.run_continuous(duration=config.duration)
     _harvest_tier_stats(target)
-    observation = Observation(
-        status=result.status.value,
-        faults=len(result.faults),
-        boots=result.boots,
-        reboots=result.reboots,
-        observables=adapter.observe(program, executor.api),
-        detail=None if result.detail is None else str(result.detail),
-    )
+    observation = _observation(result, adapter.observe(program, executor.api))
     if sim.rng.untouched and _memoizable(observation):
         _continuous_memo[key] = observation
     return observation
@@ -364,8 +361,6 @@ class ForkSession:
             # completion) can leave a stop pending past the terminal
             # segment; never let it leak into the next execute().
             self.sim.clear_stop()
-        from repro.campaign.runner import _harvest_tier_stats  # no cycle
-
         # Snapshot restore zeroes the device's tier counters, so the
         # counters here are exactly this execute()'s delta — summing
         # per-execute keeps the process tallies double-count-free.
@@ -413,20 +408,18 @@ def execute_chunk(
 ) -> list[dict]:
     """Execute a chunk of runs, forking shared injection prefixes.
 
-    The snapshot-mode worker entry point.  Runs whose plans are
+    What every sampling-campaign chunk executes.  Runs whose plans are
     fork-eligible and share a group key execute through the lane engine
     (``batch`` on, NumPy present) or one :class:`ForkSession`;
-    everything else (and every fallback) goes through the legacy
+    everything else (and every fallback) goes through the from-reset
     supervised runner, so the records are byte-identical either way.
-    ``batch`` is an execution-only switch like ``snapshot`` — it never
-    enters the config or the report.
+    ``batch`` is an execution-only switch — it never enters the config
+    or the report.
     """
-    from repro.campaign.runner import execute_run_safe  # deferred: no cycle
-
     adapter = get_adapter(config.app)
     if hasattr(adapter, "prepare"):
         # Per-run specialisation (chaos): nothing is shareable.
-        return [execute_run_safe(config, i, snapshot=True) for i in indices]
+        return [execute_run_safe(config, i) for i in indices]
     groups: dict[object, list[tuple[int, int, FaultPlan]]] = {}
     for index in indices:
         run_seed = derive_seed(config.seed, "run", index)
@@ -446,7 +439,7 @@ def execute_chunk(
     for members in groups.values():
         if len(members) < 2:
             for index, _, _ in members:
-                records[index] = execute_run_safe(config, index, snapshot=True)
+                records[index] = execute_run_safe(config, index)
             continue
         if use_batch:
             from repro.batch.engine import execute_batch_group  # needs numpy
@@ -467,13 +460,11 @@ def _execute_group(
     """Execute one fork-eligible group through a shared session.
 
     Any mid-session failure, and any violation of the zero-RNG honesty
-    invariant, sends the affected members back through the legacy
-    from-reset path — which also re-raises (and therefore re-classifies)
-    deterministic guest failures exactly as a non-snapshot campaign
-    would record them.
+    invariant, sends the affected members back through the from-reset
+    path — which also re-raises (and therefore re-classifies)
+    deterministic guest failures exactly as a from-reset run records
+    them.
     """
-    from repro.campaign.runner import execute_run_safe  # deferred: no cycle
-
     # Lexicographic schedule order maximises prefix reuse between
     # consecutive members; record order is re-established by index.
     pending = sorted(members, key=lambda m: _schedule_of(m[2]))
@@ -531,5 +522,5 @@ def _execute_group(
         finally:
             session.close()
     for index, _, _ in fallback:
-        records[index] = execute_run_safe(config, index, snapshot=True)
+        records[index] = execute_run_safe(config, index)
     return records

@@ -26,8 +26,8 @@ This module turns the same machinery into feedback-driven search:
   diverging survivors shrink through the existing ddmin pass.
 
 Everything here honours the engine's byte-identity contract: for a
-fixed config the report is identical across worker counts, snapshot
-on/off, block cache on/off, and journal resume.
+fixed config the report is identical across worker counts, forked or
+from-reset execution, block cache on/off, and journal resume.
 """
 
 from __future__ import annotations
@@ -35,28 +35,34 @@ from __future__ import annotations
 import random
 from typing import Callable
 
+from repro.campaign import forking
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
-from repro.campaign.errors import (
-    BudgetError,
-    GuestFault,
-    HostFault,
-    RunError,
-    error_record,
-)
+from repro.campaign.errors import GuestFault
 from repro.campaign.faults import FaultPlan, RebootRecorder
 from repro.campaign.forking import (
     ForkSession,
     _continuous_key,
     _memoizable,
 )
-from repro.campaign.journal import JournalWriter, load_journal
 from repro.campaign.oracle import DIVERGED, Observation, compare
 from repro.campaign.report import build_report
 from repro.campaign.runner import (
+    _harvest_tier_stats,
     _install_injectors,
     _observation,
+    supervise_run,
+    tier_stats_delta,
+    tier_stats_snapshot,
     verdict_for_schedule,
+)
+from repro.campaign.scheduler import (
+    _add_stats,
+    _chunk_indices,
+    _fill_lost_runs,
+    _open_journal,
+    _partial_stanza,
+    _Supervisor,
 )
 from repro.campaign.shrinker import shrink_schedule
 from repro.campaign.watchdog import RunWatchdog
@@ -366,6 +372,7 @@ def _fuzz_intermittent_leg(
     injectors = _install_injectors(target, plan)
     with RunWatchdog(target, config.max_cycles, config.max_wall_s):
         result = executor.run(duration=config.duration, stop_on_fault=True)
+    _harvest_tier_stats(target)
     observation = _observation(result, adapter.observe(program, executor.api))
     injected = sum(getattr(i, "injections", 0) for i in injectors)
     coverage = target.cpu.coverage
@@ -377,28 +384,21 @@ def _fuzz_intermittent_leg(
     )
 
 
-#: Continuous-leg memo keyed by config *and* stimulus — the forking
-#: module's memo deliberately omits stimulus (sampling campaigns have
-#: none), so fuzz keeps its own.
-_continuous_memo: dict[tuple, Observation] = {}
-
-
 def _fuzz_continuous_leg(
-    config: CampaignConfig, adapter, leg_seed: int, *, snapshot: bool
+    config: CampaignConfig, adapter, leg_seed: int
 ) -> Observation:
     """The control leg for one genotype, memoized per stimulus.
 
-    Same honesty rule as :func:`repro.campaign.forking.
-    continuous_observation`: a result is cached only when the leg
-    verifiably consumed zero randomness, making it independent of
-    ``leg_seed`` — so memoized and from-reset campaigns stay
-    byte-identical.
+    Shares :mod:`repro.campaign.forking`'s memo and its honesty rule: a
+    result is cached only when the leg verifiably consumed zero
+    randomness, making it independent of ``leg_seed`` — so memoized and
+    from-reset campaigns stay byte-identical.  The key extends the
+    sampling key with the stimulus, so the two kinds never collide.
     """
     key = _continuous_key(config) + (getattr(adapter, "stimulus_hex", None),)
-    if snapshot:
-        hit = _continuous_memo.get(key)
-        if hit is not None:
-            return hit
+    hit = forking._continuous_memo.get(key)
+    if hit is not None:
+        return hit
     sim = Simulator(seed=leg_seed)
     sim.trace.enabled = False  # see runner.run_intermittent_leg
     target = make_fast_target(sim)
@@ -407,9 +407,10 @@ def _fuzz_continuous_leg(
     executor.flash()
     with RunWatchdog(target, config.max_cycles, config.max_wall_s):
         result = executor.run_continuous(duration=config.duration)
+    _harvest_tier_stats(target)
     observation = _observation(result, adapter.observe(program, executor.api))
-    if snapshot and sim.rng.untouched and _memoizable(observation):
-        _continuous_memo[key] = observation
+    if sim.rng.untouched and _memoizable(observation):
+        forking._continuous_memo[key] = observation
     return observation
 
 
@@ -444,9 +445,7 @@ def _fuzz_record(
     }
 
 
-def execute_fuzz_run(
-    config: CampaignConfig, job: dict, *, snapshot: bool = False
-) -> dict:
+def execute_fuzz_run(config: CampaignConfig, job: dict) -> dict:
     """Execute one fuzz genotype from reset: both legs plus the oracle."""
     adapter = _bind(get_adapter(config.app), job["stimulus"])
     run_seed = derive_seed(config.seed, "run", job["index"])
@@ -456,8 +455,7 @@ def execute_fuzz_run(
             config, adapter, plan, derive_seed(run_seed, "intermittent")
         )
         continuous = _fuzz_continuous_leg(
-            config, adapter, derive_seed(run_seed, "continuous"),
-            snapshot=snapshot,
+            config, adapter, derive_seed(run_seed, "continuous")
         )
     except BudgetExceeded:
         raise  # classified as budget_exceeded, not as a guest fault
@@ -470,64 +468,36 @@ def execute_fuzz_run(
     )
 
 
-def execute_fuzz_run_safe(
-    config: CampaignConfig, job: dict, *, snapshot: bool = False
-) -> dict:
-    """Supervised :func:`execute_fuzz_run`: always exactly one record.
+def execute_fuzz_run_safe(config: CampaignConfig, job: dict) -> dict:
+    """Supervised :func:`execute_fuzz_run` (see :func:`supervise_run`).
 
     Error records carry no ``fuzz`` key (the run produced no coverage);
     the corpus and the coverage stanza tolerate that shape.
     """
-    try:
-        with time_limit(config.max_wall_s):
-            return execute_fuzz_run(config, job, snapshot=snapshot)
-    except BudgetExceeded as exc:
-        return error_record(
-            config, job["index"],
-            BudgetError.wrap(exc, detail="outside a leg"),
-        )
-    except RunError as exc:
-        return error_record(config, job["index"], exc)
-    except KeyboardInterrupt:
-        raise
-    except BaseException as exc:  # noqa: BLE001 - the supervision boundary
-        return error_record(
-            config, job["index"],
-            HostFault.wrap(exc, detail="outside guest execution"),
-        )
+    return supervise_run(
+        config, job["index"], lambda: execute_fuzz_run(config, job)
+    )
 
 
 # -- the fuzz worker ---------------------------------------------------------
-def _fuzz_chunk_worker(
-    config_dict: dict, jobs: list[dict], snapshot: bool = False,
-    batch: bool = True,
-) -> tuple[list[dict], dict]:
-    """Worker entry point for fuzz chunks (picklable, module-level).
+def execute_fuzz_chunk(
+    config: CampaignConfig, jobs: list[dict], batch: bool = True
+) -> list[dict]:
+    """Execute a chunk of fuzz jobs: the fuzz rounds' supervisor worker.
 
-    With snapshots on, jobs sharing a stimulus execute through one
+    Jobs sharing a stimulus execute through one
     :class:`~repro.campaign.forking.ForkSession` — every fuzz plan is
     op-index with a pinned environment, so shared schedule prefixes
     fork from the same snapshot chain.  ``batch`` is accepted for
     supervisor signature parity but unused: fuzz groups fork a
     *coverage-instrumented* target whose per-block recorder is exactly
     the per-lane state the lock-step lane engine cannot share, so they
-    stay on the ForkSession path.  Returns ``(records, tier_delta)``
-    like :func:`repro.campaign.scheduler._chunk_worker`.
+    stay on the ForkSession path.
     """
-    from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
-
-    config = CampaignConfig.from_dict(config_dict)
-    before = tier_stats_snapshot()
-    if not snapshot:
-        return [
-            execute_fuzz_run_safe(config, job, snapshot=False) for job in jobs
-        ], tier_stats_delta(before)
     adapter = get_adapter(config.app)
     if hasattr(adapter, "prepare"):
         # Per-run specialisation: nothing is shareable.
-        return [
-            execute_fuzz_run_safe(config, job, snapshot=True) for job in jobs
-        ], tier_stats_delta(before)
+        return [execute_fuzz_run_safe(config, job) for job in jobs]
     groups: dict[str | None, list[dict]] = {}
     for job in jobs:
         groups.setdefault(job["stimulus"], []).append(job)
@@ -535,12 +505,10 @@ def _fuzz_chunk_worker(
     for members in groups.values():
         if len(members) < 2:
             for job in members:
-                records[job["index"]] = execute_fuzz_run_safe(
-                    config, job, snapshot=True
-                )
+                records[job["index"]] = execute_fuzz_run_safe(config, job)
         else:
             records.update(_execute_fuzz_group(config, adapter, members))
-    return [records[job["index"]] for job in jobs], tier_stats_delta(before)
+    return [records[job["index"]] for job in jobs]
 
 
 def _execute_fuzz_group(
@@ -588,9 +556,7 @@ def _execute_fuzz_group(
                             list(recorder.blocks()), recorder.signature(),
                         )
                         continuous = _fuzz_continuous_leg(
-                            config, bound,
-                            derive_seed(run_seed, "continuous"),
-                            snapshot=True,
+                            config, bound, derive_seed(run_seed, "continuous")
                         )
                 except KeyboardInterrupt:
                     raise
@@ -615,21 +581,16 @@ def _execute_fuzz_group(
         finally:
             session.close()
     for job in fallback:
-        records[job["index"]] = execute_fuzz_run_safe(
-            config, job, snapshot=True
-        )
+        records[job["index"]] = execute_fuzz_run_safe(config, job)
     return records
 
 
 # -- post-passes -------------------------------------------------------------
-def _fuzz_shrink_pass(
-    config: CampaignConfig, records: list[dict], snapshot: bool
-) -> None:
+def _fuzz_shrink_pass(config: CampaignConfig, records: list[dict]) -> None:
     """ddmin the first ``shrink_limit`` diverging genotypes in place.
 
     Probes replay from reset on the bench supply with the genotype's
-    own stimulus bound — one deterministic path regardless of the
-    snapshot flag, so reports stay byte-identical across it.
+    own stimulus bound; only the control leg comes from the memo.
     """
     diverging = [
         r for r in records if r["verdict"]["verdict"] == DIVERGED
@@ -642,8 +603,7 @@ def _fuzz_shrink_pass(
         bound = _bind(adapter, None if fuzz is None else fuzz["stimulus"])
         try:
             continuous = _fuzz_continuous_leg(
-                config, bound, derive_seed(config.seed, "shrink-control"),
-                snapshot=snapshot,
+                config, bound, derive_seed(config.seed, "shrink-control")
             )
         except Exception:
             record["shrunk"] = None
@@ -722,7 +682,6 @@ def run_fuzz_campaign(
     journal_path: str | None = None,
     resume_from: str | None = None,
     fail_fast: bool = False,
-    snapshot: bool = True,
     batch: bool = True,
     corpus_path: str | None = None,
     journal_fsync: bool = False,
@@ -744,26 +703,12 @@ def run_fuzz_campaign(
     are regenerated deterministically, so only missing indices execute.
     ``batch`` and ``stats`` also mirror :func:`run_campaign` — fuzz
     groups never enter the lane engine (see
-    :func:`_fuzz_chunk_worker`), but the flag rides through for
+    :func:`execute_fuzz_chunk`), but the flag rides through for
     signature parity and ``stats`` aggregates worker tier counters.
     """
-    from repro.campaign.runner import tier_stats_delta, tier_stats_snapshot
-    from repro.campaign.scheduler import _Supervisor, _chunk_indices
-
-    if journal_path is not None and resume_from is not None:
-        raise ValueError("journal_path and resume_from are mutually exclusive")
-    records: dict[int, dict] = {}
-    journal: JournalWriter | None = None
-    if resume_from is not None:
-        records = load_journal(resume_from, config)
-        journal = JournalWriter(
-            resume_from, config, fresh=False, fsync=journal_fsync
-        )
-    elif journal_path is not None:
-        journal = JournalWriter(
-            journal_path, config, fresh=True, fsync=journal_fsync
-        )
-
+    records, journal = _open_journal(
+        config, journal_path, resume_from, journal_fsync
+    )
     adapter = get_adapter(config.app)
     requires_stimulus = bool(getattr(adapter, "requires_stimulus", False))
     default_stimulus_hex = (
@@ -782,7 +727,7 @@ def run_fuzz_campaign(
     jobs: dict[int, dict] = {}
     interrupted = False
     stopped = False
-    stats_before = tier_stats_snapshot() if stats is not None else None
+    stats_before = tier_stats_snapshot()
     try:
         for round_no, indices in enumerate(
             _round_slices(config.runs, config.fuzz_rounds)
@@ -799,8 +744,8 @@ def run_fuzz_campaign(
             if missing:
                 supervisor = _Supervisor(
                     config, records, progress=progress, journal=journal,
-                    fail_fast=fail_fast, snapshot=snapshot, batch=batch,
-                    worker=_fuzz_chunk_worker, jobs=round_jobs, stats=stats,
+                    fail_fast=fail_fast, batch=batch,
+                    worker=execute_fuzz_chunk, jobs=round_jobs, stats=stats,
                 )
                 supervisor.run(_chunk_indices(missing, config))
                 stopped = stopped or supervisor.stop
@@ -817,29 +762,18 @@ def run_fuzz_campaign(
             journal.close()
 
     if not interrupted and not stopped:
-        for index in range(config.runs):
-            if index not in records:
-                records[index] = error_record(
-                    config, index,
-                    HostFault("scheduler lost this run without a record"),
-                )
+        _fill_lost_runs(config, records)
     ordered = [records[i] for i in sorted(records)]
     complete = not interrupted and not stopped and len(ordered) == config.runs
     if complete and config.shrink:
-        _fuzz_shrink_pass(config, ordered, snapshot)
-    if stats is not None:
-        # This process's own execution (serial chunks, the shrink
-        # pass); pool worker deltas were folded in by the supervisors.
-        for key, value in tier_stats_delta(stats_before).items():
-            stats[key] = stats.get(key, 0) + value
+        _fuzz_shrink_pass(config, ordered)
+    # This process's own execution (serial chunks, the shrink pass);
+    # pool worker deltas were folded in by the supervisors.
+    _add_stats(stats, tier_stats_delta(stats_before))
     report = build_report(config, ordered)
     report["coverage"] = _coverage_stanza(jobs, ordered, corpus)
     if not complete:
-        report["partial"] = {
-            "completed": len(ordered),
-            "total": config.runs,
-            "interrupted": interrupted,
-        }
+        report["partial"] = _partial_stanza(config, len(ordered), interrupted)
     if corpus_path is not None and complete:
         corpus.save(corpus_path)
     return report

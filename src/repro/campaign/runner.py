@@ -15,6 +15,7 @@ campaign's report byte-identical across repetitions and worker counts.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
@@ -209,20 +210,16 @@ def replay_with_schedule(
     return _observation(result, adapter.observe(program, executor.api))
 
 
-def execute_run(
-    config: CampaignConfig, index: int, *, snapshot: bool = False
-) -> dict:
+def execute_run(config: CampaignConfig, index: int) -> dict:
     """Execute campaign run ``index``: both legs plus the oracle ruling.
 
     The returned record is a plain JSON-ready dict (it crosses process
     boundaries and lands in the report).  Exceptions propagate —
     :func:`execute_run_safe` is the supervised wrapper that classifies
-    them into the error taxonomy.
-
-    ``snapshot`` is an execution-only switch (never part of the config,
-    so it never appears in reports): it reuses the memoized continuous
-    control leg (see :mod:`repro.campaign.forking`), which is verified
-    bit-identical to running the leg from reset.
+    them into the error taxonomy.  The control leg comes from the
+    per-process memo (:func:`repro.campaign.forking.
+    continuous_observation`), which is verified bit-identical to running
+    the leg from reset.
     """
     adapter = get_adapter(config.app)
     if hasattr(adapter, "prepare"):
@@ -231,20 +228,15 @@ def execute_run(
         adapter.prepare(config, index)
     run_seed = derive_seed(config.seed, "run", index)
     plan = plan_faults(config, random.Random(derive_seed(run_seed, "plan")))
+    from repro.campaign.forking import continuous_observation  # import cycle
+
     try:
         intermittent, schedule, injected = run_intermittent_leg(
             config, adapter, plan, derive_seed(run_seed, "intermittent")
         )
-        if snapshot:
-            from repro.campaign.forking import continuous_observation
-
-            continuous = continuous_observation(
-                config, adapter, derive_seed(run_seed, "continuous")
-            )
-        else:
-            continuous = run_continuous_leg(
-                config, adapter, derive_seed(run_seed, "continuous")
-            )
+        continuous = continuous_observation(
+            config, adapter, derive_seed(run_seed, "continuous")
+        )
     except BudgetExceeded:
         raise  # classified as budget_exceeded, not as a guest fault
     except Exception as exc:
@@ -264,22 +256,22 @@ def execute_run(
     }
 
 
-def execute_run_safe(
-    config: CampaignConfig, index: int, *, snapshot: bool = False
+def supervise_run(
+    config: CampaignConfig, index: int, execute: Callable[[], dict]
 ) -> dict:
-    """Supervised :func:`execute_run`: always returns exactly one record.
+    """Run ``execute()`` for run ``index``; always returns exactly one record.
 
-    This is what worker processes (and the serial path) actually
-    execute.  Any failure is folded into the structured error taxonomy
-    (:mod:`repro.campaign.errors`) instead of propagating, so a single
-    poisoned run can never take down its chunk, and every run index is
-    accounted for in the report.  ``KeyboardInterrupt`` still
-    propagates — interrupting the campaign is the supervisor's call,
-    not a per-run error.
+    The supervision boundary of both campaign modes: ``execute`` runs
+    under the per-run wall-clock budget, and any failure is folded into
+    the structured error taxonomy (:mod:`repro.campaign.errors`) instead
+    of propagating, so a single poisoned run can never take down its
+    chunk, and every run index is accounted for in the report.
+    ``KeyboardInterrupt`` still propagates — interrupting the campaign
+    is the supervisor's call, not a per-run error.
     """
     try:
         with time_limit(config.max_wall_s):
-            return execute_run(config, index, snapshot=snapshot)
+            return execute()
     except BudgetExceeded as exc:
         # A budget expired outside a leg's own handling (e.g. the
         # SIGALRM fired during planning, observation, or the oracle).
@@ -296,6 +288,11 @@ def execute_run_safe(
         return error_record(
             config, index, HostFault.wrap(exc, detail="outside guest execution")
         )
+
+
+def execute_run_safe(config: CampaignConfig, index: int) -> dict:
+    """Supervised :func:`execute_run` (see :func:`supervise_run`)."""
+    return supervise_run(config, index, lambda: execute_run(config, index))
 
 
 def verdict_for_schedule(

@@ -51,13 +51,16 @@ from typing import Callable
 from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.errors import HostFault, WorkerLost, error_record
+from repro.campaign.forking import (
+    ForkSession,
+    continuous_observation,
+    execute_chunk,
+)
 from repro.campaign.journal import JournalWriter, load_journal
-from repro.campaign.oracle import DIVERGED, ERROR, Observation, compare
+from repro.campaign.oracle import DIVERGED, ERROR, compare
 from repro.campaign.report import build_report
 from repro.campaign.runner import (
     capture_divergence,
-    execute_run_safe,
-    run_continuous_leg,
     tier_stats_delta,
     tier_stats_snapshot,
     verdict_for_schedule,
@@ -71,22 +74,16 @@ _MAX_BACKOFF_DOUBLINGS = 6
 
 
 def _chunk_worker(
-    config_dict: dict, indices: list[int], snapshot: bool = False,
-    batch: bool = True,
+    execute: Callable, config_dict: dict, work: list, batch: bool
 ) -> tuple[list[dict], dict]:
-    """Worker entry point: execute a chunk of runs (picklable, module-level).
+    """Worker entry point: ``execute(config, work, batch)`` for one chunk.
 
-    Uses the *supervised* runner, so a failing run yields a structured
-    error record instead of poisoning its whole chunk; the only way a
-    chunk can fail as a unit is the worker process itself dying.
-
-    ``snapshot`` routes the chunk through the prefix-fork engine
-    (:func:`repro.campaign.forking.execute_chunk`), which shares work
-    between runs whose fault plans allow it and produces byte-identical
-    records either way; ``batch`` additionally routes fork-eligible
-    groups through the NumPy lane engine (:mod:`repro.batch.engine`).
-    Both are execution-only parameters — never part of the config dict,
-    so reports and journals are unaffected by them.
+    ``execute`` is :func:`repro.campaign.forking.execute_chunk` or its
+    fuzz counterpart; both supervise every run, so a failing run yields
+    a structured error record instead of poisoning its whole chunk and
+    the only way a chunk can fail as a unit is the worker process itself
+    dying.  ``batch`` (lane engine on/off) is execution-only — never
+    part of the config dict, so reports and journals are unaffected.
 
     Returns ``(records, tier_delta)``: the chunk's records plus the
     tier/lane counter delta this execution accumulated, so a pool
@@ -95,13 +92,8 @@ def _chunk_worker(
     """
     config = CampaignConfig.from_dict(config_dict)
     before = tier_stats_snapshot()
-    if snapshot:
-        from repro.campaign.forking import execute_chunk
-
-        chunk_records = execute_chunk(config, indices, batch=batch)
-    else:
-        chunk_records = [execute_run_safe(config, index) for index in indices]
-    return chunk_records, tier_stats_delta(before)
+    records = execute(config, work, batch)
+    return records, tier_stats_delta(before)
 
 
 def _chunk_indices(indices: list[int], config: CampaignConfig) -> list[list[int]]:
@@ -146,12 +138,12 @@ class _Supervisor:
     """Drives chunks to completion through crashes, retries, and splits.
 
     The unit of work is pluggable: ``worker`` is any picklable
-    module-level callable with the :func:`_chunk_worker` signature, and
-    ``jobs`` optionally maps each run index to a JSON-ready payload the
-    worker receives in place of the bare index (the fuzz scheduler's
-    mutated candidates ride through here).  Supervision — crash blame,
-    retries, splits, quarantine, journaling — is payload-agnostic: a
-    chunk is always identified by its indices.
+    module-level ``worker(config, work, batch) -> records`` (run by
+    :func:`_chunk_worker`), and ``jobs`` optionally maps each run index
+    to a JSON-ready payload the worker receives in place of the bare
+    index (the fuzz scheduler's mutated candidates ride through here).
+    Supervision — crash blame, retries, splits, quarantine, journaling —
+    is payload-agnostic: a chunk is always identified by its indices.
     """
 
     config: CampaignConfig
@@ -159,9 +151,8 @@ class _Supervisor:
     progress: Callable[[int, int], None] | None = None
     journal: JournalWriter | None = None
     fail_fast: bool = False
-    snapshot: bool = False
     batch: bool = True
-    worker: Callable = _chunk_worker
+    worker: Callable = execute_chunk
     jobs: dict[int, dict] | None = None
     #: Optional sink for aggregated tier/lane counters.  Pool workers
     #: return their counter deltas alongside their records; only those
@@ -188,9 +179,8 @@ class _Supervisor:
     def _collect(self, result, remote: bool = False) -> None:
         if isinstance(result, tuple):
             chunk_records, delta = result
-            if remote and self.stats is not None:
-                for key, value in delta.items():
-                    self.stats[key] = self.stats.get(key, 0) + value
+            if remote:
+                _add_stats(self.stats, delta)
         else:
             # Synthesized records (worker_lost) carry no counter delta.
             chunk_records = result
@@ -259,8 +249,8 @@ class _Supervisor:
             chunk = fresh.popleft()
             try:
                 future = self._pool.submit(
-                    self.worker, self._config_dict, self._work_for(chunk),
-                    self.snapshot, self.batch,
+                    _chunk_worker, self.worker, self._config_dict,
+                    self._work_for(chunk), self.batch,
                 )
             except Exception:
                 fresh.appendleft(chunk)
@@ -307,8 +297,8 @@ class _Supervisor:
         suspects.popleft()
         try:
             future = self._pool.submit(
-                self.worker, self._config_dict, self._work_for(chunk),
-                self.snapshot, self.batch,
+                _chunk_worker, self.worker, self._config_dict,
+                self._work_for(chunk), self.batch,
             )
             self._collect(future.result(), remote=True)
         except KeyboardInterrupt:
@@ -353,29 +343,25 @@ class _Supervisor:
         while fresh and not self.stop:
             chunk = fresh.popleft()
             self._collect(
-                self.worker(self._config_dict, self._work_for(chunk),
-                            self.snapshot, self.batch)
+                _chunk_worker(self.worker, self._config_dict,
+                              self._work_for(chunk), self.batch)
             )
 
 
 # -- post-passes -----------------------------------------------------------
-def _shrink_pass(
-    config: CampaignConfig, records: list[dict], snapshot: bool = False
-) -> None:
+def _shrink_pass(config: CampaignConfig, records: list[dict]) -> None:
     """Minimize the first ``shrink_limit`` diverging runs in place.
 
     Tolerant by construction: a control leg that fails to run marks the
     candidates unshrunk, and replays that raise are treated as "does
     not reproduce" (see :func:`repro.campaign.shrinker.shrink_schedule`).
 
-    With ``snapshot`` on, ddmin probes replay from the nearest cached
-    boundary snapshot of one long-lived bench session instead of
-    re-simulating each candidate's shared prefix from reset; any
-    session failure (or a violated zero-RNG invariant) falls back to
-    the from-reset replay, probe by probe.
+    ddmin probes replay from the nearest cached boundary snapshot of
+    one long-lived bench session instead of re-simulating each
+    candidate's shared prefix from reset; a session that cannot be
+    built, any session failure, or a violated zero-RNG invariant falls
+    back to the from-reset replay, probe by probe.
     """
-    from repro.campaign.forking import ForkSession, continuous_observation
-
     diverging = [
         r for r in records if r["verdict"]["verdict"] == DIVERGED
     ][: config.shrink_limit]
@@ -383,14 +369,9 @@ def _shrink_pass(
         return
     adapter = get_adapter(config.app)
     try:
-        if snapshot:
-            continuous: Observation = continuous_observation(
-                config, adapter, derive_seed(config.seed, "shrink-control")
-            )
-        else:
-            continuous = run_continuous_leg(
-                config, adapter, derive_seed(config.seed, "shrink-control")
-            )
+        continuous = continuous_observation(
+            config, adapter, derive_seed(config.seed, "shrink-control")
+        )
     except Exception:
         # No usable control, no shrinking — report the runs unshrunk
         # (the same conservative "did not reproduce" marker a failed
@@ -399,7 +380,7 @@ def _shrink_pass(
             record["shrunk"] = None
         return
     session = None
-    if snapshot and not hasattr(adapter, "prepare"):
+    if not hasattr(adapter, "prepare"):
         try:
             session = ForkSession.for_replay(config, adapter)
         except Exception:
@@ -446,6 +427,54 @@ def _capture_pass(config: CampaignConfig, records: list[dict]) -> None:
             break
 
 
+# -- campaign driver plumbing, shared by both modes -------------------------
+def _open_journal(
+    config: CampaignConfig,
+    journal_path: str | None,
+    resume_from: str | None,
+    fsync: bool,
+) -> tuple[dict[int, dict], JournalWriter | None]:
+    """The records a campaign starts from, and the journal it appends to."""
+    if journal_path is not None and resume_from is not None:
+        raise ValueError("journal_path and resume_from are mutually exclusive")
+    if resume_from is not None:
+        records = load_journal(resume_from, config)
+        return records, JournalWriter(
+            resume_from, config, fresh=False, fsync=fsync
+        )
+    if journal_path is not None:
+        return {}, JournalWriter(journal_path, config, fresh=True, fsync=fsync)
+    return {}, None
+
+
+def _fill_lost_runs(config: CampaignConfig, records: dict[int, dict]) -> None:
+    """Fill scheduler holes with ``host_fault`` records, never drop a run."""
+    for index in range(config.runs):
+        if index not in records:
+            records[index] = error_record(
+                config, index,
+                HostFault("scheduler lost this run without a record"),
+            )
+
+
+def _partial_stanza(
+    config: CampaignConfig, completed: int, interrupted: bool
+) -> dict:
+    """The report's top-level ``partial`` key for an unfinished campaign."""
+    return {
+        "completed": completed,
+        "total": config.runs,
+        "interrupted": interrupted,
+    }
+
+
+def _add_stats(stats: dict | None, delta: dict) -> None:
+    """Fold a tier/lane counter delta into the optional ``stats`` sink."""
+    if stats is not None:
+        for key, value in delta.items():
+            stats[key] = stats.get(key, 0) + value
+
+
 # -- the public entry point ------------------------------------------------
 def run_campaign(
     config: CampaignConfig,
@@ -454,7 +483,6 @@ def run_campaign(
     journal_path: str | None = None,
     resume_from: str | None = None,
     fail_fast: bool = False,
-    snapshot: bool = True,
     batch: bool = True,
     corpus_path: str | None = None,
     journal_fsync: bool = False,
@@ -478,17 +506,17 @@ def run_campaign(
     storage.  ``fail_fast`` stops scheduling new work after the first
     diverged or errored record.
 
-    ``snapshot`` (default on) enables the snapshot/fork execution
-    paths — prefix-grouped run forking, memoized continuous legs, and
-    boundary-snapshot ddmin replays (:mod:`repro.campaign.forking`).
-    It is execution-only: the records, the journal format, and the
-    report are byte-identical with it on or off, which is why it is a
-    keyword here rather than a :class:`CampaignConfig` field.
+    Runs execute through the snapshot/fork engine — prefix-grouped run
+    forking, memoized continuous legs, and boundary-snapshot ddmin
+    replays (:mod:`repro.campaign.forking`) — which falls back to
+    from-reset execution wherever sharing is unsound, with
+    byte-identical records either way.
 
     ``batch`` (default on) additionally routes fork-eligible groups
-    through the NumPy lane engine (:mod:`repro.batch`); it is gated the
-    same way (execution-only, byte-identical on/off/``REPRO_NO_BATCH``)
-    and is inert when NumPy is unavailable or ``snapshot`` is off.
+    through the NumPy lane engine (:mod:`repro.batch`).  It is
+    execution-only — byte-identical on/off/``REPRO_NO_BATCH``, which is
+    why it is a keyword here rather than a :class:`CampaignConfig`
+    field — and is inert when NumPy is unavailable.
 
     ``stats`` (optional) is a plain dict the campaign folds its
     aggregated tier/lane execution counters into — both this process's
@@ -511,32 +539,21 @@ def run_campaign(
 
         return run_fuzz_campaign(
             config, progress, journal_path=journal_path,
-            resume_from=resume_from, fail_fast=fail_fast,
-            snapshot=snapshot, batch=batch, corpus_path=corpus_path,
-            journal_fsync=journal_fsync, stats=stats,
+            resume_from=resume_from, fail_fast=fail_fast, batch=batch,
+            corpus_path=corpus_path, journal_fsync=journal_fsync,
+            stats=stats,
         )
     if corpus_path is not None:
         raise ValueError("corpus_path requires mode='fuzz'")
-    if journal_path is not None and resume_from is not None:
-        raise ValueError("journal_path and resume_from are mutually exclusive")
-    records: dict[int, dict] = {}
-    journal: JournalWriter | None = None
-    if resume_from is not None:
-        records = load_journal(resume_from, config)
-        journal = JournalWriter(
-            resume_from, config, fresh=False, fsync=journal_fsync
-        )
-    elif journal_path is not None:
-        journal = JournalWriter(
-            journal_path, config, fresh=True, fsync=journal_fsync
-        )
-
+    records, journal = _open_journal(
+        config, journal_path, resume_from, journal_fsync
+    )
     remaining = [i for i in range(config.runs) if i not in records]
     supervisor = _Supervisor(
         config, records, progress=progress, journal=journal,
-        fail_fast=fail_fast, snapshot=snapshot, batch=batch, stats=stats,
+        fail_fast=fail_fast, batch=batch, stats=stats,
     )
-    stats_before = tier_stats_snapshot() if stats is not None else None
+    stats_before = tier_stats_snapshot()
     interrupted = False
     try:
         supervisor.run(_chunk_indices(remaining, config))
@@ -551,31 +568,20 @@ def run_campaign(
             journal.close()
 
     if not interrupted and not supervisor.stop:
-        for index in range(config.runs):
-            if index not in records:
-                records[index] = error_record(
-                    config, index,
-                    HostFault("scheduler lost this run without a record"),
-                )
+        _fill_lost_runs(config, records)
     ordered = [records[i] for i in sorted(records)]
     complete = not interrupted and len(ordered) == config.runs
     if complete:
         if config.shrink:
-            _shrink_pass(config, ordered, snapshot=snapshot)
+            _shrink_pass(config, ordered)
         if config.capture:
             _capture_pass(config, ordered)
-    if stats is not None:
-        # Everything this process executed itself — serial chunks,
-        # degraded-mode chunks, the shrink/capture post-passes — landed
-        # in the process tallies; pool workers' deltas were folded in
-        # by the supervisor as their chunks completed.
-        for key, value in tier_stats_delta(stats_before).items():
-            stats[key] = stats.get(key, 0) + value
+    # Everything this process executed itself — serial chunks,
+    # degraded-mode chunks, the shrink/capture post-passes — landed in
+    # the process tallies; pool workers' deltas were folded in by the
+    # supervisor as their chunks completed.
+    _add_stats(stats, tier_stats_delta(stats_before))
     report = build_report(config, ordered)
     if not complete:
-        report["partial"] = {
-            "completed": len(ordered),
-            "total": config.runs,
-            "interrupted": interrupted,
-        }
+        report["partial"] = _partial_stanza(config, len(ordered), interrupted)
     return report

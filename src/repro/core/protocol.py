@@ -148,28 +148,33 @@ class Decoder:
 
     def _try_decode_one(self) -> Message | None:
         buffer = self._buffer
-        # Hunt for a start-of-frame byte.
-        while buffer and buffer[0] != SOF:
-            buffer.pop(0)
-            self.errors += 1
-        if len(buffer) < 4:
-            return None
-        length = buffer[2]
-        total = 4 + length
-        if len(buffer) < total:
-            return None
-        body = bytes(buffer[1 : 3 + length])
-        checksum = buffer[3 + length]
-        if (sum(body) & 0xFF) != checksum:
-            # Bad frame: discard the SOF and resync.
-            buffer.pop(0)
-            self.errors += 1
-            return None if SOF not in buffer else self._try_decode_one()
-        del buffer[:total]
-        try:
-            msg_type = MsgType(body[0])
-        except ValueError:
-            self.errors += 1
-            return None if SOF not in buffer else self._try_decode_one()
-        self.frames_decoded += 1
-        return Message(msg_type, body[2:])
+        while True:
+            # Hunt for a start-of-frame byte.
+            while buffer and buffer[0] != SOF:
+                buffer.pop(0)
+                self.errors += 1
+            if len(buffer) < 4:
+                return None
+            length = buffer[2]
+            total = 4 + length
+            if len(buffer) < total:
+                return None
+            body = bytes(buffer[1 : 3 + length])
+            checksum = buffer[3 + length]
+            if (sum(body) & 0xFF) != checksum:
+                # Bad frame: discard the SOF and resync.
+                buffer.pop(0)
+                self.errors += 1
+            else:
+                del buffer[:total]
+                try:
+                    msg_type = MsgType(body[0])
+                except ValueError:
+                    self.errors += 1
+                else:
+                    self.frames_decoded += 1
+                    return Message(msg_type, body[2:])
+            # Resync iteratively: a run of line noise (HDLC idles the
+            # line with SOF bytes) must not cost a stack frame per byte.
+            if SOF not in buffer:
+                return None

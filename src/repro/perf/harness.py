@@ -188,11 +188,9 @@ def bench_campaign(runs: int = 6) -> BenchResult:
             "diverged": report["summary"]["diverged"],
             "agree": report["summary"]["agree"],
             # The execution shape actually used: how many workers the
-            # scheduler was given and whether snapshot/fork prefix
-            # sharing was active (run_campaign defaults it on), so a
-            # recorded BENCH file says what was measured.
+            # scheduler was given, so a recorded BENCH file says what
+            # was measured.
             "workers": config.workers,
-            "snapshot": True,
         },
     )
 
@@ -202,12 +200,9 @@ def bench_snapshot_fork(runs: int = 24) -> BenchResult:
 
     The environment is pinned (fixed distance, no fading), so every run
     in a fault mode lands in one fork group and the engine executes each
-    shared injection prefix once.  Both execution paths are timed on the
-    identical config — their reports are byte-identical by contract —
-    and the headline value is the snapshot path's throughput; the
-    no-snapshot figure and the resulting speedup land in ``detail``.
-    A small untimed campaign pays the one-time costs first (see
-    :func:`bench_campaign`).
+    shared injection prefix once.  An untimed pass of the identical
+    campaign pays the one-time costs first (lazy imports, the control-leg
+    memo, the first fork groups), so the timed pass is steady state.
     """
     config = CampaignConfig(
         app="linked_list",
@@ -221,12 +216,9 @@ def bench_snapshot_fork(runs: int = 24) -> BenchResult:
         distance_range=(1.6, 1.6),
         fading_range=(0.0, 0.0),
     )
-    run_campaign(CampaignConfig(**{**config.to_dict(), "runs": 2}))
+    run_campaign(config)
     t0 = time.perf_counter()
-    run_campaign(config, snapshot=False)
-    wall_off = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    report = run_campaign(config, snapshot=True)
+    report = run_campaign(config)
     wall = time.perf_counter() - t0
     return BenchResult(
         name="snapshot_fork",
@@ -236,12 +228,6 @@ def bench_snapshot_fork(runs: int = 24) -> BenchResult:
         detail={
             "runs": runs,
             "diverged": report["summary"]["diverged"],
-            "no_snapshot_runs_per_s": (
-                runs / wall_off if wall_off > 0 else float("inf")
-            ),
-            "speedup_vs_no_snapshot": (
-                wall_off / wall if wall > 0 else float("inf")
-            ),
             "workers": config.workers,
         },
     )

@@ -42,6 +42,35 @@ def pytest_runtest_call(item):
 
 
 @pytest.fixture
+def from_reset(monkeypatch):
+    """``run(config, **kwargs)``: a campaign with every fork fallback forced.
+
+    No :class:`~repro.campaign.forking.ForkSession` can be built (run
+    groups, fuzz groups and shrinker replays all fall back), no control
+    leg is memoized, and the lane engine is off, so every leg simulates
+    from reset — the reference the forked executor must reproduce byte
+    for byte.  The patches hold only for the duration of ``run``; pool
+    workers inherit them because Linux starts them by fork.
+    """
+    import repro.campaign.forking as forking
+    import repro.campaign.fuzz as fuzz
+    from repro.campaign.scheduler import run_campaign
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("fork sessions are disabled")
+
+    def run(config, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(forking.ForkSession, "__init__", refuse)
+            for module in (forking, fuzz):
+                patch.setattr(module, "_memoizable", lambda observation: False)
+            forking._continuous_memo.clear()
+            return run_campaign(config, batch=False, **kwargs)
+
+    return run
+
+
+@pytest.fixture
 def sim() -> Simulator:
     """A fresh simulation kernel with a fixed seed."""
     return Simulator(seed=1234)

@@ -1,7 +1,7 @@
 """Unit + property tests for the debug-link wire protocol."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import (
@@ -137,3 +137,34 @@ class TestDecoder:
             out += decoder.feed(stream[i : i + chunk])
         assert [m.decode_text() for m in out] == texts
         assert decoder.errors == 0
+
+    def test_idle_line_noise_does_not_overflow_the_stack(self):
+        """SOF is the HDLC idle byte: a long run of it is plain noise."""
+        decoder = Decoder()
+        assert decoder.feed(bytes([SOF]) * 5000) == []
+        assert decoder.errors > 0
+        # The decoder still resyncs onto a good frame afterwards, once
+        # enough zeros arrive to refute every frame the buffered SOFs
+        # claim to start.
+        decoder = Decoder()
+        messages = decoder.feed(
+            bytes([SOF]) * 5000 + b"\x00" * 130 + encode(Message(MsgType.ACK))
+        )
+        assert [m.type for m in messages] == [MsgType.ACK]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.binary(max_size=300),
+        cuts=st.lists(st.integers(0, 300), max_size=8),
+    )
+    def test_arbitrary_bytes_never_raise_and_chunking_is_invisible(
+        self, data, cuts
+    ):
+        """Any byte string, split anywhere, decodes like the whole string."""
+        whole = Decoder().feed(data)
+        decoder = Decoder()
+        chunked = []
+        bounds = [0, *sorted(c for c in cuts if c <= len(data)), len(data)]
+        for start, end in zip(bounds, bounds[1:]):
+            chunked += decoder.feed(data[start:end])
+        assert chunked == whole

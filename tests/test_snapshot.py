@@ -6,11 +6,13 @@ the trajectory of never having stopped — same registers, same memory
 bytes, same capacitor voltage, same RNG draws, across brown-out/reboot
 boundaries and under every fault-injection axis.  These tests state
 that property directly, plus the report-level consequence: campaign
-reports are byte-identical with snapshot forking on and off.
+reports are byte-identical whether forked or simulated from reset.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import random
 
@@ -20,7 +22,6 @@ from repro.campaign.apps import get_adapter
 from repro.campaign.config import CampaignConfig
 from repro.campaign.faults import StateCorruptor, plan_faults
 from repro.campaign.forking import _program_state, _restore_program_state
-from repro.campaign.report import render_json
 from repro.campaign.runner import _install_injectors
 from repro.campaign.scheduler import run_campaign
 from repro.power.harvester import RFHarvester
@@ -31,6 +32,7 @@ from repro.sim.rng import derive_seed
 from repro.snapshot import DirtyTracker, capture, restore
 from repro.testing import make_fast_target
 
+from tests.test_fuzz import FUZZ_KW, _canonical
 from tests.test_hotpath import GOLDEN_CONFIG, GOLDEN_PATH
 
 pytestmark = pytest.mark.snapshot
@@ -203,41 +205,83 @@ def test_quick_perf_gate_smoke(tmp_path):
     assert exit_code == 0
 
 
-def test_golden_report_byte_identical_without_snapshot():
-    """The legacy (from-reset) path still reproduces the golden bytes.
+#: A pinned environment (fixed distance, no fading) puts every same-mode
+#: run in one fork group, so the forked side of the matrix exercises
+#: genuine prefix sharing — chain snapshots, mid-schedule restores,
+#: shrinker replay sessions — not the singleton fallback.
+PINNED_ENV_CONFIG = CampaignConfig(
+    app="linked_list",
+    runs=12,
+    seed=777,
+    iterations=16,
+    duration=0.6,
+    workers=1,
+    shrink=True,
+    shrink_limit=2,
+    modes=("op_index", "commit_boundary"),
+    distance_range=(1.6, 1.6),
+    fading_range=(0.0, 0.0),
+)
+FUZZ_CONFIG = CampaignConfig(**FUZZ_KW)
+#: FUZZ_CONFIG's automatic chunks hold one job each, so its forked side
+#: only exercises the control-leg memo; whole-round chunks put jobs that
+#: share a stimulus into fuzz fork groups.
+FUZZ_GROUPED_CONFIG = dataclasses.replace(FUZZ_CONFIG, chunk=3)
 
-    The default-path counterpart — snapshot forking *on* — is asserted
-    by ``tests/test_hotpath.py``; together they pin both execution
-    paths to the same committed report.
+
+@functools.lru_cache(maxsize=None)
+def _forked_reference(config: CampaignConfig) -> str:
+    """The default execution: forked, serial, block cache on."""
+    return _canonical(run_campaign(config))
+
+
+@pytest.mark.parametrize(
+    "config, blockcache, workers, execution",
+    [
+        pytest.param(GOLDEN_CONFIG, True, 1, "from_reset",
+                     id="golden-from_reset"),
+        pytest.param(PINNED_ENV_CONFIG, True, 1, "from_reset",
+                     id="pinned_env-from_reset"),
+        pytest.param(PINNED_ENV_CONFIG, True, 1, "no_lanes",
+                     id="pinned_env-no_lanes"),
+        pytest.param(FUZZ_CONFIG, True, 1, "from_reset", id="fuzz-from_reset"),
+        pytest.param(FUZZ_CONFIG, False, 1, "forked", id="fuzz-no_blockcache"),
+        pytest.param(FUZZ_CONFIG, False, 1, "from_reset",
+                     id="fuzz-no_blockcache-from_reset"),
+        pytest.param(FUZZ_CONFIG, True, 2, "forked", id="fuzz-parallel"),
+        pytest.param(FUZZ_CONFIG, True, 2, "from_reset",
+                     id="fuzz-parallel-from_reset"),
+        pytest.param(FUZZ_GROUPED_CONFIG, True, 1, "from_reset",
+                     id="fuzz_grouped-from_reset"),
+    ],
+)
+def test_report_byte_identity(
+    config, blockcache, workers, execution, from_reset, monkeypatch
+):
+    """Block cache x workers x forked/from-reset: one report, byte for byte.
+
+    ``from_reset`` forces every fork fallback, so those cases compare
+    the forked executor against a campaign simulated entirely from
+    reset; ``no_lanes`` forks through fork sessions alone.  The golden
+    config is held to the committed golden file (the forked side of it
+    is ``tests/test_hotpath.py``); every other case to the same config
+    run forked, serially, with the block cache on.  ``workers`` is
+    echoed in the report's config stanza, so it is normalised before
+    comparing.
     """
-    report = run_campaign(GOLDEN_CONFIG, snapshot=False)
-    assert render_json(report) == GOLDEN_PATH.read_text()
-
-
-def test_forked_campaign_report_identical_to_legacy():
-    """Snapshot on == snapshot off, byte for byte, with real fork groups.
-
-    A pinned environment (fixed distance, no fading) makes every
-    same-mode run share a fork group, so this exercises genuine prefix
-    sharing — chain snapshots, mid-schedule restores, shrinker replay
-    sessions — not the singleton fallback.
-    """
-    config = CampaignConfig(
-        app="linked_list",
-        runs=12,
-        seed=777,
-        iterations=16,
-        duration=0.6,
-        workers=1,
-        shrink=True,
-        shrink_limit=2,
-        modes=("op_index", "commit_boundary"),
-        distance_range=(1.6, 1.6),
-        fading_range=(0.0, 0.0),
-    )
-    forked = render_json(run_campaign(config, snapshot=True))
-    legacy = render_json(run_campaign(config, snapshot=False))
-    assert forked == legacy
+    monkeypatch.delenv("REPRO_NO_BLOCKCACHE", raising=False)
+    if config is GOLDEN_CONFIG:
+        expected = GOLDEN_PATH.read_text()
+    else:
+        expected = _forked_reference(config)
+    if not blockcache:
+        monkeypatch.setenv("REPRO_NO_BLOCKCACHE", "1")
+    variant = dataclasses.replace(config, workers=workers)
+    if execution == "from_reset":
+        report = from_reset(variant)
+    else:
+        report = run_campaign(variant, batch=execution == "forked")
+    assert _canonical(report) == expected
 
 
 # -- block-translation instrumentation and coverage across restore ----------
