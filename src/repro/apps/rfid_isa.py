@@ -28,6 +28,8 @@ coverage (and its single-step fallback) drives the fuzzer's signatures.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.mcu.assembler import Program, assemble
 from repro.mcu.coverage import CoverageRecorder
 from repro.mcu.cpu import CpuError, Halted
@@ -134,8 +136,14 @@ pw1:    dec r8
 """
 
 
+@lru_cache(maxsize=16)
 def build_rfid_program(protect: bool, target: int) -> Program:
-    """Assemble the dispatch core for ``target`` command iterations."""
+    """Assemble the dispatch core for ``target`` command iterations.
+
+    Memoized: the source depends only on ``(protect, target)``, and every
+    fuzz leg builds the firmware afresh, so each process assembles (and
+    decodes) one shared, read-only :class:`Program` per build.
+    """
     if target < 1:
         raise ValueError(f"target must be >= 1 (got {target})")
     handler = _PAIR_PROTECTED if protect else _PAIR_NAIVE

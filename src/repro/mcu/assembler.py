@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.mcu.isa import (
+    DecodeError,
     Instruction,
     Mode,
     NUM_REGISTERS,
@@ -53,7 +55,14 @@ class AssemblyError(Exception):
 
 @dataclass
 class Program:
-    """An assembled program image."""
+    """An assembled program image.
+
+    Read-only by contract: one image may be loaded into many devices
+    (:func:`repro.apps.rfid_isa.build_rfid_program` memoizes one per
+    build), so nothing may mutate ``words``, ``symbols`` or ``line_map``
+    after assembly.  The byte image and the decode table are derived
+    from them once, on first use.
+    """
 
     origin: int
     words: list[int]
@@ -72,11 +81,39 @@ class Program:
 
     def to_bytes(self) -> bytes:
         """Little-endian byte image suitable for loading into memory."""
+        return self._image
+
+    @cached_property
+    def _image(self) -> bytes:
         out = bytearray()
         for word in self.words:
             out.append(word & 0xFF)
             out.append((word >> 8) & 0xFF)
         return bytes(out)
+
+    @cached_property
+    def decode_table(self) -> dict[int, tuple[Instruction, int, int]]:
+        """``address -> (instruction, size, cycles)`` for every instruction.
+
+        Decoded from the image at exactly the :attr:`line_map` addresses,
+        so ``.word``/``.space`` data is never decoded.  Entries have the
+        shape :class:`~repro.mcu.cpu.Cpu` caches;
+        :meth:`TargetDevice.load_program` copies them into each CPU's own
+        decode cache.
+        """
+        origin, words = self.origin, self.words
+
+        def fetch(address: int) -> int:
+            return words[(address - origin) >> 1]
+
+        table = {}
+        for address in sorted(self.line_map):
+            try:
+                instruction, size = decode(fetch, address)
+            except (DecodeError, IndexError):
+                continue  # overwritten by a later .org: decoded if reached
+            table[address] = (instruction, size, instruction.cycles())
+        return table
 
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")

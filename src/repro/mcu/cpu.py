@@ -162,7 +162,7 @@ class Cpu:
         self._block_pool: dict[int, _Block] = {}  # retired, revivable
         self._watch_pcs: set[int] = set()
         # The write observer that keeps both caches honest is installed
-        # lazily, at the first decode: before anything is decoded both
+        # lazily, at the first decode or seeding: before that both
         # caches are empty, so no store can invalidate anything, and
         # workloads that drive the device purely through the high-level
         # API never pay the per-store observer call at all.
@@ -453,21 +453,39 @@ class Cpu:
         return instruction
 
     def _decode_at(self, pc: int) -> tuple[Instruction, int, int]:
-        if not self._observing:
-            self.memory.write_observers.append(self._on_memory_write)
-            self._observing = True
         instruction, size = decode(self.memory.read_u16, pc)
         cached = (instruction, size, instruction.cycles())
         self._decode_cache[pc] = cached
-        end = pc + size
-        if self._cache_lo == self._cache_hi:  # first entry
-            self._cache_lo, self._cache_hi = pc, end
-        else:
-            if pc < self._cache_lo:
-                self._cache_lo = pc
-            if end > self._cache_hi:
-                self._cache_hi = end
+        self._cover(pc, pc + size)
         return cached
+
+    def seed_decode_cache(
+        self, table: dict[int, tuple[Instruction, int, int]]
+    ) -> None:
+        """Copy a program's decode table into this CPU's decode cache.
+
+        The entries are copied, never aliased: a store into code wipes
+        only this CPU's cache and leaves ``table`` intact.  Anything not
+        seeded still decodes lazily through :meth:`_decode_at`.
+        """
+        if not table:
+            return
+        self._decode_cache.update(table)
+        last = max(table)
+        self._cover(min(table), last + table[last][1])
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Widen the cached span to ``[lo, hi)``, observing stores first."""
+        if not self._observing:
+            self.memory.write_observers.append(self._on_memory_write)
+            self._observing = True
+        if self._cache_lo == self._cache_hi:  # first entry
+            self._cache_lo, self._cache_hi = lo, hi
+        else:
+            if lo < self._cache_lo:
+                self._cache_lo = lo
+            if hi > self._cache_hi:
+                self._cache_hi = hi
 
     def step_block(self, limit: int | None = None) -> int:
         """Execute one translated block (or one instruction) at the PC.

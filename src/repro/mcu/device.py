@@ -574,8 +574,13 @@ class TargetDevice:
             hook(self.reboot_count)
 
     def load_program(self, program: Program) -> None:
-        """Write an assembled image into FRAM and point the CPU at it."""
+        """Write an assembled image into FRAM and point the CPU at it.
+
+        The CPU's decode cache is seeded from the image's shared decode
+        table, so the image's instructions are not decoded again.
+        """
         self.memory.write_bytes(program.origin, program.to_bytes())
+        self.cpu.seed_decode_cache(program.decode_table)
         self._program = program
         self.cpu.reset(program.entry)
 
