@@ -1,13 +1,15 @@
 #!/bin/sh
-# Repository check: the tier-1 test suite plus the quick perf gate.
+# Repository check: the tier-1 test suite, the CI smokes, and a second
+# tier-1 pass under REPRO_NO_BATCH=1.
 #
 # Tier-1 (must stay green):     PYTHONPATH=src python -m pytest -x -q
-# Tier-1-adjacent (perf gate):  python -m repro.perf --check --quick
 #
-# The perf gate compares against benchmarks/perf_baseline.json with the
-# relaxed --quick tolerance; it catches order-of-magnitude cliffs, not
-# small regressions — use `python -m repro.perf --check --repeats 3`
-# for a real measurement (see docs/PERF.md).
+# Both tier-1 passes include the work-count ledger
+# (tests/test_work_ledger.py): exact instruction, block, spend, supply
+# step, event, snapshot and campaign-leg counts for fixed workloads,
+# compared byte for byte with tests/data/work_ledger.json.  The
+# simulation is deterministic, so the ledger's tolerance is zero and it
+# never flakes on host speed (see docs/PERF.md).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -31,6 +33,3 @@ python -m pytest -q -m batch_smoke
 
 echo "== tier-1 under REPRO_NO_BATCH=1: scalar-path parity =="
 REPRO_NO_BATCH=1 python -m pytest -x -q
-
-echo "== tier-1-adjacent: perf gate =="
-python -m repro.perf --check --quick --out /tmp/BENCH_perf_check.json

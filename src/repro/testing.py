@@ -11,7 +11,10 @@ module provides surgical alternatives:
 - :func:`fast_wisp_constants` / :func:`make_fast_target` — a scaled-
   down target (10x smaller capacitor) that charge/discharge-cycles
   several times faster, for tests that need many organic reboots
-  without burning wall-clock time.
+  without burning wall-clock time;
+- :func:`make_bench_target` / :data:`ISA_LOOP_SOURCE` — a bench-supplied
+  target that never browns out organically, and a tight ISA loop that
+  runs on it as pure interpreter work.
 """
 
 from __future__ import annotations
@@ -167,6 +170,25 @@ def make_fast_target(
         sim, constants=c, distance_m=distance_m, fading_sigma=fading_sigma
     )
     return TargetDevice(sim, power, constants=c)
+
+
+#: A tight loop mixing the operand classes the decode cache must cover:
+#: register/immediate ALU, absolute loads/stores (FRAM), and stack ops.
+#: Run on :func:`make_bench_target`, it is pure interpreter work.
+ISA_LOOP_SOURCE = """
+        .org 0xA000
+buf:    .word 0
+start:  mov #0, r4
+loop:   add #1, r4
+        mov r4, &buf
+        mov &buf, r5
+        push r5
+        pop r6
+        xor r5, r6
+        cmp #0, r4
+        jnz loop
+        halt
+"""
 
 
 def make_bench_target(

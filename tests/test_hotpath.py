@@ -14,7 +14,6 @@ Covers the PR's two halves:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -32,7 +31,6 @@ from repro.mcu.memory import (
     SRAM_SIZE,
     make_msp430_memory_map,
 )
-from repro.perf.harness import run_all
 from repro.power.capacitor import StorageCapacitor
 from repro.power.harvester import NullSource, RFHarvester
 from repro.power.supply import PowerSystem
@@ -257,29 +255,3 @@ def test_campaign_report_is_byte_identical_to_golden():
     """
     report = run_campaign(GOLDEN_CONFIG)
     assert render_json(report) == GOLDEN_PATH.read_text()
-
-
-@pytest.mark.perf_smoke
-def test_perf_harness_smoke():
-    """A scaled-down benchmark run produces well-formed results."""
-    results = run_all(scale=0.02)
-    assert set(results) == {
-        "isa_throughput", "charge_discharge", "campaign", "snapshot_fork",
-        "campaign_opsweep", "fuzz_search",
-    }
-    for result in results.values():
-        payload = result.to_dict()
-        assert payload["value"] > 0
-        assert payload["wall_s"] > 0
-        json.dumps(payload)  # JSON-serialisable
-
-
-def test_perf_cli_help_renders_tolerance(capsys):
-    """``--help`` shows the tolerance as a percentage, not a dumped action."""
-    from repro.perf.__main__ import build_parser
-
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    assert "30% against the baseline" in text
-    assert "option_strings" not in text

@@ -5,7 +5,8 @@ benchmark's own test function, with a ``report()`` that captures the
 rendered text instead of writing it — and requires every render to
 equal the committed ``benchmarks/out/<name>.txt`` byte for byte, so a
 drift in any paper number fails tier-1 instead of waiting for a shape
-assert to trip.
+assert to trip.  The same render is counted against its row of the
+work-count ledger (``tests/test_work_ledger.py``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import sys
 import types
 
 import pytest
+
+from tests.test_work_ledger import WorkTally, assert_ledger_row
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -47,8 +50,8 @@ def _load(name: str, path: pathlib.Path) -> types.ModuleType:
     return module
 
 
-@pytest.mark.parametrize("name", sorted(CHEAP_OUTPUTS))
-def test_render_matches_committed_output(name, monkeypatch):
+def render(name: str, monkeypatch) -> str:
+    """Run output ``name``'s benchmark once; return the text it reports."""
     rendered = {}
 
     def report(output, lines):
@@ -64,6 +67,14 @@ def test_render_matches_committed_output(name, monkeypatch):
     module_name = CHEAP_OUTPUTS[name]
     module = _load(f"_paper_{module_name}", BENCH_DIR / f"{module_name}.py")
     getattr(module, f"test_{name}")(_Benchmark())
+    return rendered[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHEAP_OUTPUTS))
+def test_render_matches_committed_output(name, monkeypatch):
+    tally = WorkTally(monkeypatch)
+    rendered = render(name, monkeypatch)
     committed = (BENCH_DIR / "out" / f"{name}.txt").read_text()
-    assert rendered[name] == committed
+    assert rendered == committed
+    assert_ledger_row(name, tally.row())
 

@@ -24,9 +24,8 @@ from repro.campaign.scheduler import run_campaign
 from repro.mcu.assembler import assemble
 from repro.mcu.cpu import Halted
 from repro.mcu.isa import Op, decode
-from repro.perf.harness import ISA_LOOP_SOURCE
 from repro.sim.kernel import Simulator
-from repro.testing import make_bench_target
+from repro.testing import ISA_LOOP_SOURCE, make_bench_target
 
 #: Every image shipped in ``src/``.
 IMAGES = {
